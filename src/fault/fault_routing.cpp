@@ -1,25 +1,16 @@
 #include "fault/fault_routing.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "routing/packet_arena.hpp"
-#include "routing/telemetry_probe.hpp"
+#include "routing/cycle_kernel.hpp"
 #include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace bfly {
 
 namespace {
-
-/// Dense forward-link index without a Butterfly instance (same layout as
-/// routing's link_index()).
-inline u64 dense_link(u64 rows, u64 row, int stage, bool cross) {
-  return (static_cast<u64>(stage) * rows + row) * 2 + (cross ? 1 : 0);
-}
 
 /// The single-packet walk shared by route_packet() and the census.  on_link
 /// is called with the dense index of every traversed link.
@@ -152,34 +143,9 @@ FaultLoadCensus measure_link_loads_faulty(int n, u64 packets, u64 seed, const Fa
 
   FaultLoadCensus out;
   out.census.packets = packets;
-  if (keep_link_loads) out.census.link_loads.resize(links, 0);
-  u64 total = 0;
   {
     BFLY_TRACE_SCOPE("fault.census.merge");
-    // Same pool-backed per-range reduction as the pristine census: u64
-    // max/total partials combined in range order keep the merged statistics
-    // bitwise deterministic for any pool size.
-    std::vector<u64> range_max(threads, 0);
-    std::vector<u64> range_total(threads, 0);
-    parallel_for_chunked(
-        0, static_cast<std::size_t>(links), threads,
-        [&](std::size_t lo, std::size_t hi, std::size_t tid) {
-          u64 max_load = 0;
-          u64 range_sum = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            u64 load = 0;
-            for (std::size_t t = 0; t < threads; ++t) load += partial[t][i];
-            if (keep_link_loads) out.census.link_loads[i] = load;
-            max_load = std::max(max_load, load);
-            range_sum += load;
-          }
-          range_max[tid] = max_load;
-          range_total[tid] = range_sum;
-        });
-    for (std::size_t t = 0; t < threads; ++t) {
-      out.census.max_link_load = std::max(out.census.max_link_load, range_max[t]);
-      total += range_total[t];
-    }
+    detail::merge_link_loads(partial, keep_link_loads, out.census);
     for (const FaultTally& t : partial_tally) {
       out.tally.delivered += t.delivered;
       for (std::size_t r = 0; r < kNumDropReasons; ++r) out.tally.dropped[r] += t.dropped[r];
@@ -187,13 +153,6 @@ FaultLoadCensus measure_link_loads_faulty(int n, u64 packets, u64 seed, const Fa
       out.tally.wraps += t.wraps;
     }
   }
-  out.census.avg_link_load = static_cast<double>(total) / static_cast<double>(links);
-  out.census.imbalance =
-      out.census.avg_link_load > 0
-          ? static_cast<double>(out.census.max_link_load) / out.census.avg_link_load
-          : 0.0;
-  out.census.avg_distance =
-      packets > 0 ? static_cast<double>(total) / static_cast<double>(packets) : 0.0;
   out.delivered_fraction =
       packets > 0 ? static_cast<double>(out.tally.delivered) / static_cast<double>(packets)
                   : 0.0;
@@ -203,242 +162,6 @@ FaultLoadCensus measure_link_loads_faulty(int n, u64 packets, u64 seed, const Fa
            static_cast<double>(out.census.max_link_load));
   return out;
 }
-
-namespace {
-
-/// The queued-simulator cycle loop, generic over the liveness provider:
-/// `Liveness` is FaultSet (static faults, `live` == nullptr) or
-/// LiveFaultState (a schedule is attached; `live` aliases `faults` so the
-/// loop can advance the overlay at cycle boundaries).  One body, two
-/// instantiations — the liveness reads stay the same one-byte loads either
-/// way, which is what makes the empty-schedule bitwise-identity contract
-/// hold by construction.
-template <typename Liveness>
-FaultSaturationPoint run_saturation_faulty(int n, double offered_load, u64 cycles, u64 seed,
-                                           const Liveness& faults,
-                                           const FaultRoutingOptions& options,
-                                           u64 warmup_cycles, u64 queue_capacity,
-                                           const CancelToken* cancel,
-                                           obs::TimeSeries* timeseries,
-                                           obs::OccupancyFrames* frames,
-                                           obs::FlightRecorder* flight, LiveFaultState* live,
-                                           LinkDeathPolicy death_policy) {
-  BFLY_TRACE_SCOPE("fault.simulate_saturation");
-  const u64 rows = pow2(n);
-
-  obs::Counter* injected_ctr = obs::get_counter("fault.injected");
-  obs::LocalHistogram latency_hist(obs::get_histogram(
-      "fault.latency_cycles", obs::Histogram::exponential_bounds(1, 2, 16)));
-  obs::LocalHistogram depth_hist(obs::get_histogram(
-      "fault.queue_depth", obs::Histogram::exponential_bounds(1, 2, 24)));
-
-  // Per-link FIFOs in the flat slot arena (budget lanes enabled), same
-  // push_back/pop_front semantics as the seed's per-link deques — the
-  // *_reference oracle asserts bit-identical results.
-  using Packet = PacketArena::Packet;
-  const u64 links = static_cast<u64>(n) * rows * 2;
-  // Per-packet flight tracing rides the arena's optional flight lane, grown
-  // only when a recorder is attached.
-  detail::FlightProbe fprobe(flight);
-  PacketArena arena(links, /*with_budgets=*/true, /*with_flight=*/fprobe.enabled());
-  Xoshiro256 rng(seed);
-  // Same cycle-resolved telemetry hooks (and the same cost contract) as the
-  // pristine engine; see routing/telemetry_probe.hpp.
-  detail::SaturationProbe probe(timeseries, frames, n, rows);
-
-  FaultSaturationPoint out;
-  SaturationPoint& result = out.point;
-  FaultTally& tally = out.tally;
-  result.offered_load = offered_load;
-  u64 measured_injections = 0;
-  u64 in_flight = 0;
-  double total_latency = 0.0;
-
-  const auto count_drop = [&](DropReason reason, bool measured, u64 flight_handle,
-                              u64 cycle) {
-    if (measured) ++tally.dropped[drop_index(reason)];
-    // The telemetry drop channel is cumulative over *all* cycles (the tally
-    // stays post-warmup-only), so warmup drops are visible in the series.
-    probe.on_dropped();
-    fprobe.on_dropped(flight_handle, cycle, static_cast<u64>(drop_index(reason)));
-  };
-
-  // Picks the stage-`stage` output link for a packet at `row` and enqueues it
-  // there, charging a misroute when the packet must deflect.  Returns false
-  // (after counting the drop) when the packet dies here instead.  `entry` is
-  // the flight-trace event for how the packet reached this node (inject,
-  // advance, wrap); a deflection overrides it with kMisroute.
-  const auto enqueue = [&](u64 row, int stage, Packet pkt, bool measured, u64 cycle,
-                           obs::FlightEvent entry) -> bool {
-    const bool want = ((row ^ pkt.dst) >> stage) & 1;
-    bool cross = want;
-    if (!faults.link_alive(row, stage, want)) {
-      if (!faults.link_alive(row, stage, !want)) {
-        count_drop(DropReason::kNoAliveLink, measured, pkt.flight, cycle);
-        return false;
-      }
-      if (pkt.misroutes >= static_cast<u32>(std::max(options.misroute_budget, 0))) {
-        count_drop(DropReason::kBudgetExhausted, measured, pkt.flight, cycle);
-        return false;
-      }
-      ++pkt.misroutes;
-      if (measured) ++tally.misroutes;
-      cross = !want;
-      entry = obs::FlightEvent::kMisroute;
-    }
-    const u64 link = dense_link(rows, row, stage, cross);
-    if (queue_capacity > 0 && arena.size(link) >= queue_capacity) {
-      count_drop(DropReason::kQueueFull, measured, pkt.flight, cycle);
-      return false;
-    }
-    fprobe.on_push(pkt.flight, cycle, link, entry);
-    arena.push(link, pkt);
-    return true;
-  };
-
-  std::vector<std::pair<u64, Packet>> wrapped;  // (row, packet) awaiting re-entry
-  std::vector<u64> newly_dead;  // links killed this cycle (live schedules only)
-  u64 simulated = cycles;
-  for (u64 cycle = 0; cycle < cycles; ++cycle) {
-    if (cycle % kCancelPollCycles == 0 && CancelToken::cancelled(cancel)) {
-      simulated = cycle;
-      break;
-    }
-    const bool measured = cycle >= warmup_cycles;
-    if (live != nullptr) {
-      // Apply this cycle's scheduled fail/repair events (and any spare-chip
-      // failover whose detection latency elapsed) before anything routes,
-      // so an event at cycle c already governs cycle c's hops.
-      live->advance_to(cycle,
-                       death_policy == LinkDeathPolicy::kKillInFlight ? &newly_dead : nullptr);
-      if (death_policy == LinkDeathPolicy::kKillInFlight) {
-        for (const u64 link : newly_dead) {
-          // Drain the dying link's FIFO: those packets are on the wire the
-          // moment it fails.  Under kDeflect they stay queued instead and
-          // the router re-tests liveness at their next hop.
-          while (arena.size(link) > 0) {
-            const Packet dead = arena.pop(link);
-            --in_flight;
-            count_drop(DropReason::kKilledByFault, measured, dead.flight, cycle);
-          }
-        }
-      }
-    }
-    // Forward one packet per link, highest stage first so a packet moves at
-    // most one hop per cycle; wrapped packets re-enter at stage 0 only after
-    // the sweep, for the same reason.
-    wrapped.clear();
-    for (int s = n - 1; s >= 0; --s) {
-      // For a fixed stage the dense link ids are contiguous, so the
-      // occupancy bitmap walks non-empty links in exactly the (row, c)
-      // order of the seed's full scan — and skips the empty ones for free.
-      const u64 stage_base = static_cast<u64>(s) * rows * 2;
-      arena.for_each_occupied(stage_base, stage_base + rows * 2, [&](u64 link) {
-        const u64 row = (link - stage_base) >> 1;
-        const bool cross = (link & 1) != 0;
-        const u64 next_row = cross ? (row ^ pow2(s)) : row;
-        if (s + 1 < n) {
-          // Intermediate hop on an alive wanted link leaves the payload
-          // (dst, injected_at, budgets) unchanged: relink the slot instead of
-          // popping and re-pushing.  Misroutes fall through to the seed's
-          // full enqueue path below.
-          const u64 dst = arena.front_dst(link);
-          const bool want = ((next_row ^ dst) >> (s + 1)) & 1;
-          if (faults.link_alive(next_row, s + 1, want)) {
-            const u64 next_link = dense_link(rows, next_row, s + 1, want);
-            if (queue_capacity > 0 && arena.size(next_link) >= queue_capacity) {
-              const Packet dead = arena.pop(link);
-              count_drop(DropReason::kQueueFull, measured, dead.flight, cycle);
-              --in_flight;
-            } else {
-              fprobe.on_advance(arena, link, cycle, next_link);
-              arena.move_front(link, next_link);
-            }
-            return;
-          }
-        }
-        const Packet pkt = arena.pop(link);
-        if (s + 1 == n) {
-          if (next_row == pkt.dst) {
-            --in_flight;
-            if (measured) {
-              ++result.delivered;
-              ++tally.delivered;
-              const double latency = static_cast<double>(cycle + 1 - pkt.injected_at);
-              total_latency += latency;
-              latency_hist.observe(latency);
-            }
-            probe.on_delivered(cycle, pkt.injected_at);
-            fprobe.on_delivered(pkt.flight, cycle);
-          } else if (pkt.wraps < static_cast<u32>(std::max(options.wrap_budget, 0)) &&
-                     faults.node_alive(next_row, 0)) {
-            Packet w = pkt;
-            ++w.wraps;
-            if (measured) ++tally.wraps;
-            wrapped.emplace_back(next_row, w);
-          } else {
-            --in_flight;
-            count_drop(pkt.wraps < static_cast<u32>(std::max(options.wrap_budget, 0))
-                           ? DropReason::kNoAliveLink
-                           : DropReason::kBudgetExhausted,
-                       measured, pkt.flight, cycle);
-          }
-        } else if (!enqueue(next_row, s + 1, pkt, measured, cycle,
-                            obs::FlightEvent::kAdvance)) {
-          --in_flight;
-        }
-      });
-    }
-    for (const auto& [row, pkt] : wrapped) {
-      if (!enqueue(row, 0, pkt, measured, cycle, obs::FlightEvent::kWrap)) --in_flight;
-    }
-    // Inject.
-    u64 cycle_injections = 0;
-    for (u64 row = 0; row < rows; ++row) {
-      if (rng.uniform() < offered_load) {
-        Packet pkt{rng.below(rows), cycle, 0, 0};
-        // Sample *before* the endpoint check so the packet-id stream matches
-        // the pristine engine's exactly under an empty FaultSet.
-        pkt.flight = fprobe.on_packet(cycle, row, pkt.dst);
-        if (!faults.node_alive(row, 0) || !faults.node_alive(pkt.dst, n)) {
-          count_drop(DropReason::kEndpointDead, measured, pkt.flight, cycle);
-          continue;
-        }
-        if (enqueue(row, 0, pkt, measured, cycle, obs::FlightEvent::kInject)) {
-          ++cycle_injections;
-          if (measured) ++measured_injections;
-        }
-      }
-    }
-    in_flight += cycle_injections;
-    depth_hist.observe(static_cast<double>(in_flight));
-    probe.on_injected(cycle_injections);
-    probe.sample(cycle, arena, in_flight, faults.num_dead_links());
-  }
-  latency_hist.flush();
-  depth_hist.flush();
-
-  result.max_queue = arena.max_size();
-  // Same partial-result convention as simulate_saturation: average over the
-  // cycles actually simulated when the token tripped mid-run.
-  const double measured_cycles =
-      simulated > warmup_cycles ? static_cast<double>(simulated - warmup_cycles) : 0.0;
-  result.throughput =
-      measured_cycles > 0.0
-          ? static_cast<double>(result.delivered) / (measured_cycles * static_cast<double>(rows))
-          : 0.0;
-  result.per_node_injection = result.throughput / static_cast<double>(n + 1);
-  result.avg_latency =
-      result.delivered > 0 ? total_latency / static_cast<double>(result.delivered) : 0.0;
-  result.dropped_queue_full = tally.dropped[drop_index(DropReason::kQueueFull)];
-  obs::add(injected_ctr, measured_injections);
-  export_tally_metrics(tally);
-  obs::set(obs::get_gauge("fault.max_queue"), static_cast<double>(result.max_queue));
-  obs::set(obs::get_gauge("fault.throughput"), result.throughput);
-  return out;
-}
-
-}  // namespace
 
 FaultSaturationPoint simulate_saturation_faulty(int n, double offered_load, u64 cycles,
                                                 u64 seed, const FaultSet& faults,
@@ -452,17 +175,48 @@ FaultSaturationPoint simulate_saturation_faulty(int n, double offered_load, u64 
   BFLY_REQUIRE(n >= 1 && n <= 30, "butterfly dimension must be in [1, 30]");
   BFLY_REQUIRE(offered_load >= 0.0 && offered_load <= 1.0, "offered load is a probability");
   BFLY_REQUIRE(faults.dimension() == n, "fault set dimension mismatch");
+  BFLY_REQUIRE(schedule == nullptr || schedule->dimension() == n,
+               "fault schedule dimension mismatch");
+  BFLY_TRACE_SCOPE("fault.simulate_saturation");
+  // The cycle kernel on one shard, drawing from the `seed` stream itself —
+  // the pristine engine's stream, which is what makes an empty FaultSet
+  // reproduce simulate_saturation bit for bit.
+  const detail::KernelSpec spec{
+      .n = n,
+      .offered_load = offered_load,
+      .cycles = cycles,
+      .seed = seed,
+      .warmup_cycles = warmup_cycles,
+      .queue_capacity = queue_capacity,
+      .misroute_budget = static_cast<u32>(std::max(options.misroute_budget, 0)),
+      .wrap_budget = static_cast<u32>(std::max(options.wrap_budget, 0)),
+      .kill_in_flight = schedule != nullptr &&
+                        schedule->link_death_policy() == LinkDeathPolicy::kKillInFlight,
+      .cancel = cancel,
+      .timeseries = timeseries,
+      .frames = frames,
+      .flight = flight,
+      .latency_hist = obs::get_histogram("fault.latency_cycles",
+                                         obs::Histogram::exponential_bounds(1, 2, 16)),
+      .depth_hist = obs::get_histogram("fault.queue_depth",
+                                       obs::Histogram::exponential_bounds(1, 2, 24)),
+  };
+  FaultSaturationPoint out;
+  detail::KernelResult r;
   if (schedule == nullptr) {
-    return run_saturation_faulty(n, offered_load, cycles, seed, faults, options, warmup_cycles,
-                                 queue_capacity, cancel, timeseries, frames, flight,
-                                 /*live=*/nullptr, LinkDeathPolicy::kKillInFlight);
+    r = detail::run_cycle_kernel(spec, faults);
+  } else {
+    // `faults` becomes the cycle-0 base of a live overlay the kernel advances.
+    LiveFaultState live(faults, *schedule);
+    r = detail::run_cycle_kernel(spec, live);
+    out.live = live.stats();
   }
-  BFLY_REQUIRE(schedule->dimension() == n, "fault schedule dimension mismatch");
-  LiveFaultState live(faults, *schedule);
-  FaultSaturationPoint out = run_saturation_faulty(
-      n, offered_load, cycles, seed, live, options, warmup_cycles, queue_capacity, cancel,
-      timeseries, frames, flight, &live, schedule->link_death_policy());
-  out.live = live.stats();
+  out.point = r.point;
+  out.tally = r.tally;
+  obs::add(obs::get_counter("fault.injected"), r.measured_injections);
+  export_tally_metrics(out.tally);
+  obs::set(obs::get_gauge("fault.max_queue"), static_cast<double>(out.point.max_queue));
+  obs::set(obs::get_gauge("fault.throughput"), out.point.throughput);
   return out;
 }
 

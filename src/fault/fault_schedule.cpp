@@ -325,16 +325,13 @@ void LiveFaultState::apply_node(u64 row, int stage, bool fail) {
   }
   // Induced incident links, the same set FaultSet::fail_node kills: a node
   // fault adds one cause to each, a node repair removes it.
-  const auto link_id = [this](u64 r, int s, bool cross) {
-    return (static_cast<u64>(s) * rows_ + r) * 2 + (cross ? 1 : 0);
-  };
   if (stage < n_) {
-    apply_link(link_id(row, stage, false), fail);
-    apply_link(link_id(row, stage, true), fail);
+    apply_link(dense_link(rows_, row, stage, false), fail);
+    apply_link(dense_link(rows_, row, stage, true), fail);
   }
   if (stage > 0) {
-    apply_link(link_id(row, stage - 1, false), fail);
-    apply_link(link_id(row ^ pow2(stage - 1), stage - 1, true), fail);
+    apply_link(dense_link(rows_, row, stage - 1, false), fail);
+    apply_link(dense_link(rows_, row ^ pow2(stage - 1), stage - 1, true), fail);
   }
 }
 
@@ -360,8 +357,7 @@ void LiveFaultState::apply_event(const FaultEvent& event, u64 /*cycle*/) {
   }
   switch (event.target) {
     case FaultTarget::kLink:
-      apply_link((static_cast<u64>(event.stage) * rows_ + event.row) * 2 + (event.cross ? 1 : 0),
-                 fail);
+      apply_link(dense_link(rows_, event.row, event.stage, event.cross), fail);
       break;
     case FaultTarget::kNode:
       apply_node(event.row, event.stage, fail);

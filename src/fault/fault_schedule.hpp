@@ -203,7 +203,7 @@ class LiveFaultState {
   // Same read interface (and the same one-byte fast path) as FaultSet.
   bool link_alive_index(u64 link) const { return dead_links_[link] == 0; }
   bool link_alive(u64 row, int stage, bool cross) const {
-    return dead_links_[(static_cast<u64>(stage) * rows_ + row) * 2 + (cross ? 1 : 0)] == 0;
+    return dead_links_[dense_link(rows_, row, stage, cross)] == 0;
   }
   bool node_alive(u64 row, int stage) const {
     return dead_nodes_[static_cast<u64>(stage) * rows_ + row] == 0;

@@ -20,7 +20,7 @@ void FaultSet::kill_link(u64 link) {
 
 void FaultSet::fail_link(u64 row, int stage, bool cross) {
   BFLY_REQUIRE(row < rows_ && stage >= 0 && stage < n_, "link out of range");
-  kill_link(link_id(row, stage, cross));
+  kill_link(dense_link(rows_, row, stage, cross));
 }
 
 void FaultSet::fail_node(u64 row, int stage) {
@@ -32,14 +32,14 @@ void FaultSet::fail_node(u64 row, int stage) {
   }
   // Outgoing links (toward stage + 1).
   if (stage < n_) {
-    kill_link(link_id(row, stage, false));
-    kill_link(link_id(row, stage, true));
+    kill_link(dense_link(rows_, row, stage, false));
+    kill_link(dense_link(rows_, row, stage, true));
   }
   // Incoming links (from stage - 1): the straight link from the same row and
   // the cross link from the row differing in bit stage-1.
   if (stage > 0) {
-    kill_link(link_id(row, stage - 1, false));
-    kill_link(link_id(row ^ pow2(stage - 1), stage - 1, true));
+    kill_link(dense_link(rows_, row, stage - 1, false));
+    kill_link(dense_link(rows_, row ^ pow2(stage - 1), stage - 1, true));
   }
 }
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "routing/routing.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/swap_butterfly.hpp"
 #include "util/bits.hpp"
@@ -47,13 +48,13 @@ class FaultSet {
 
   bool link_alive(u64 row, int stage, bool cross) const {
     BFLY_REQUIRE(row < rows_ && stage >= 0 && stage < n_, "link out of range");
-    return dead_links_[link_id(row, stage, cross)] == 0;
+    return dead_links_[dense_link(rows_, row, stage, cross)] == 0;
   }
   bool node_alive(u64 row, int stage) const {
     BFLY_REQUIRE(row < rows_ && stage >= 0 && stage <= n_, "node out of range");
     return dead_nodes_[static_cast<u64>(stage) * rows_ + row] == 0;
   }
-  /// Unchecked liveness by dense link index (see routing's link_index()) —
+  /// Unchecked liveness by dense link index (routing's dense_link()) —
   /// the one-byte-load fast path for per-hop tests in routing loops.
   bool link_alive_index(u64 link) const { return dead_links_[link] == 0; }
 
@@ -72,9 +73,6 @@ class FaultSet {
   void fail_chip(const SwapButterfly& sb, int rows_log2, u64 chip);
 
  private:
-  u64 link_id(u64 row, int stage, bool cross) const {
-    return (static_cast<u64>(stage) * rows_ + row) * 2 + (cross ? 1 : 0);
-  }
   void kill_link(u64 link);
 
   int n_;

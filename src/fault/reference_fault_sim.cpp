@@ -11,7 +11,8 @@ namespace bfly {
 
 namespace {
 
-inline u64 dense_link(u64 rows, u64 row, int stage, bool cross) {
+// Kept separate from routing.hpp's dense_link() so the oracle stays frozen.
+inline u64 oracle_link(u64 rows, u64 row, int stage, bool cross) {
   return (static_cast<u64>(stage) * rows + row) * 2 + (cross ? 1 : 0);
 }
 
@@ -64,7 +65,7 @@ FaultSaturationPoint simulate_saturation_faulty_reference(
       if (measured) ++tally.misroutes;
       cross = !want;
     }
-    auto& q = queues[dense_link(rows, row, stage, cross)];
+    auto& q = queues[oracle_link(rows, row, stage, cross)];
     if (queue_capacity > 0 && q.size() >= queue_capacity) {
       count_drop(DropReason::kQueueFull, measured);
       return false;
@@ -83,7 +84,7 @@ FaultSaturationPoint simulate_saturation_faulty_reference(
     for (int s = n - 1; s >= 0; --s) {
       for (u64 row = 0; row < rows; ++row) {
         for (int c = 0; c < 2; ++c) {
-          auto& q = queues[dense_link(rows, row, s, c == 1)];
+          auto& q = queues[oracle_link(rows, row, s, c == 1)];
           if (q.empty()) continue;
           const Packet pkt = q.front();
           q.pop_front();

@@ -70,7 +70,6 @@ class PacketArena {
     grow(initial_slots);
   }
 
-  bool empty(u64 link) const { return q_[link].head == kNil; }
   u64 size(u64 link) const { return q_[link].size; }
   u64 num_links() const { return q_.size(); }
 

@@ -27,9 +27,15 @@ class FlightRecorder;
 
 namespace bfly {
 
-/// Dense id of the forward link (row, stage) -> stage+1 (cross or straight).
+/// Dense id of the forward link (row, stage) -> stage+1 (cross or straight)
+/// in a fabric of `rows` rows: stage-major, then row, then straight/cross.
+inline u64 dense_link(u64 rows, u64 row, int stage, bool cross) {
+  return (static_cast<u64>(stage) * rows + row) * 2 + (cross ? 1 : 0);
+}
+
+/// dense_link() over bf's rows.
 inline u64 link_index(const Butterfly& bf, u64 row, int stage, bool cross) {
-  return (static_cast<u64>(stage) * bf.rows() + row) * 2 + (cross ? 1 : 0);
+  return dense_link(bf.rows(), row, stage, cross);
 }
 
 /// Shortest-path length between two arbitrary butterfly nodes (rows r1, r2 at
@@ -69,6 +75,15 @@ LoadCensus measure_link_loads(int n, u64 packets, u64 seed,
                               std::size_t threads = 0 /* 0 = default */,
                               bool keep_link_loads = false,
                               const CancelToken* cancel = nullptr);
+
+namespace detail {
+/// The censuses' merge: sums the per-worker link loads on the pool into
+/// census (max, avg, imbalance, avg_distance over census.packets, and
+/// link_loads when kept).  Per-range u64 partials combine in range order, so
+/// the result is bitwise identical for any pool size.
+void merge_link_loads(const std::vector<std::vector<u64>>& partial, bool keep_link_loads,
+                      LoadCensus& census);
+}  // namespace detail
 
 /// Average shortest-path distance between uniformly random node pairs
 /// (arbitrary stages): the Theta(log R) quantity in Theorem 2.1.  Samples are

@@ -2,60 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <utility>
-#include <vector>
 
-#include "fault/fault_set.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/packet_arena.hpp"
-#include "util/parallel.hpp"
-#include "util/prng.hpp"
-#include "util/spsc_ring.hpp"
+#include "routing/cycle_kernel.hpp"
 
 namespace bfly {
-
-namespace {
-
-/// One packet crossing a shard boundary: everything the receiving shard
-/// needs to re-materialize it at (row, stage + 1) of the ring's stage.
-struct Hop {
-  u64 row = 0;  ///< arrival row (global) — the cross link's far end
-  u64 dst = 0;
-  u64 injected_at = 0;
-  u32 misroutes = 0;
-  u32 wraps = 0;
-};
-
-/// Per-shard state: a private arena over the shard's local link range, its
-/// own injection RNG stream, and private statistics merged in shard order at
-/// the end of the run.
-struct Shard {
-  Shard(u64 local_links, bool with_budgets, u64 seed, u64 index)
-      : arena(local_links, with_budgets),
-        rng(seed ^ (0x9e3779b97f4a7c15ULL * (index + 1))) {}
-
-  PacketArena arena;
-  Xoshiro256 rng;
-  std::vector<std::pair<u64, PacketArena::Packet>> wrapped;  ///< (row, pkt) re-entries
-
-  // Post-warmup statistics (the serial engines' measurement convention).
-  u64 delivered = 0;
-  double latency_sum = 0.0;
-  u64 measured_injections = 0;
-  u64 dropped_queue_full = 0;  ///< pristine runs; faulty runs use the tally
-  FaultTally tally;
-
-  // Whole-run conservation ledger (every cycle, warmup included).
-  u64 offered = 0;
-  u64 injected = 0;
-  u64 delivered_all = 0;
-  u64 dropped_all = 0;
-  u64 in_flight = 0;  ///< packets currently queued in this shard's arena
-};
-
-}  // namespace
 
 ShardedSaturationPoint simulate_saturation_sharded(int n, double offered_load, u64 cycles,
                                                    u64 seed, const ShardedOptions& options,
@@ -69,354 +21,35 @@ ShardedSaturationPoint simulate_saturation_sharded(int n, double offered_load, u
   if (num_shards == 0) num_shards = std::min<u64>(rows, 8);
   BFLY_REQUIRE(is_pow2(num_shards) && num_shards <= rows,
                "shard_count must be a power of two, at most 2^n");
-  if (faults != nullptr) {
-    BFLY_REQUIRE(faults->dimension() == n, "fault set dimension mismatch");
-  }
+  BFLY_REQUIRE(faults == nullptr || faults->dimension() == n, "fault set dimension mismatch");
   BFLY_TRACE_SCOPE("routing.simulate_saturation_sharded");
 
-  const u64 block = rows / num_shards;       // rows per shard (power of two)
-  const int log2block = n - ilog2(num_shards);
-  const int num_cross = ilog2(num_shards);   // stages whose cross links leave a shard
-  const u64 local_links = static_cast<u64>(n) * block * 2;
-  const bool faulty = faults != nullptr;
-  const u64 queue_capacity = options.queue_capacity;
-  const u32 misroute_budget = static_cast<u32>(std::max(options.routing.misroute_budget, 0));
-  const u32 wrap_budget = static_cast<u32>(std::max(options.routing.wrap_budget, 0));
-
-  std::size_t threads = options.threads != 0 ? options.threads : default_thread_count();
-  threads = std::min<std::size_t>(threads, static_cast<std::size_t>(num_shards));
-
-  std::deque<Shard> shards;
-  for (u64 k = 0; k < num_shards; ++k) shards.emplace_back(local_links, faulty, seed, k);
-
-  // One SPSC ring per (source shard, crossing stage).  A shard has `block`
-  // cross links per stage and each link forwards at most its front packet per
-  // cycle, so `block` slots can never overflow — the drain at the end of each
-  // cycle empties every ring before the next advance phase refills it.
-  std::deque<util::SpscRing<Hop>> rings;
-  for (u64 k = 0; k < num_shards * static_cast<u64>(num_cross); ++k) {
-    rings.emplace_back(static_cast<std::size_t>(block));
-  }
-  const auto ring_of = [&](u64 src_shard, int stage) -> util::SpscRing<Hop>& {
-    return rings[src_shard * static_cast<u64>(num_cross) +
-                 static_cast<u64>(stage - log2block)];
+  const detail::KernelSpec spec{
+      .n = n,
+      .offered_load = offered_load,
+      .cycles = cycles,
+      .seed = seed,
+      .warmup_cycles = options.warmup_cycles,
+      .queue_capacity = options.queue_capacity,
+      .misroute_budget = static_cast<u32>(std::max(options.routing.misroute_budget, 0)),
+      .wrap_budget = static_cast<u32>(std::max(options.routing.wrap_budget, 0)),
+      .shard_count = num_shards,
+      .threads = options.threads != 0 ? options.threads : default_thread_count(),
+      .mix_shard_seeds = true,
+      .cancel = cancel,
   };
-
-  // Dense link id inside a shard's private arena: the shard owns the
-  // contiguous per-stage ranges of its rows, indexed by local row.
-  const auto local_link = [block](int stage, u64 local_row, bool cross) {
-    return (static_cast<u64>(stage) * block + local_row) * 2 + (cross ? 1 : 0);
-  };
-
-  ShardedSaturationPoint out;
-  out.shard_count = num_shards;
-  SaturationPoint& result = out.point;
-  result.offered_load = offered_load;
-
-  u64 cycle = 0;
-  bool measured = false;
-
-  // Counts one drop into the shard's ledgers: the whole-run total always,
-  // the post-warmup tally only inside the measurement window (the serial
-  // faulty engine's convention).
-  const auto count_drop = [&](Shard& sh, DropReason reason) {
-    ++sh.dropped_all;
-    if (measured) {
-      if (faulty) {
-        ++sh.tally.dropped[drop_index(reason)];
-      } else {
-        ++sh.dropped_queue_full;  // the only pristine drop reason
-      }
-    }
-  };
-
-  // Picks the stage-`stage` output link for a packet at global `row` and
-  // enqueues it in `sh`'s arena (row must belong to sh), charging a misroute
-  // when the packet must deflect — the faulty engines' deflection policy.
-  // Returns false (after counting the drop) when the packet dies here.
-  const auto enqueue_faulty = [&](Shard& sh, u64 row0, u64 row, int stage,
-                                  PacketArena::Packet pkt) -> bool {
-    const bool want = ((row ^ pkt.dst) >> stage) & 1;
-    bool cross = want;
-    if (!faults->link_alive(row, stage, want)) {
-      if (!faults->link_alive(row, stage, !want)) {
-        count_drop(sh, DropReason::kNoAliveLink);
-        return false;
-      }
-      if (pkt.misroutes >= misroute_budget) {
-        count_drop(sh, DropReason::kBudgetExhausted);
-        return false;
-      }
-      ++pkt.misroutes;
-      if (measured) ++sh.tally.misroutes;
-      cross = !want;
-    }
-    const u64 link = local_link(stage, row - row0, cross);
-    if (queue_capacity > 0 && sh.arena.size(link) >= queue_capacity) {
-      count_drop(sh, DropReason::kQueueFull);
-      return false;
-    }
-    sh.arena.push(link, pkt);
-    return true;
-  };
-
-  // Phase A: advance every stage of one shard (descending, so a packet moves
-  // at most one hop per cycle), apply shard-local wraps, then inject.  Cross
-  // hops at stages >= log2block pop into the hand-off ring; everything else
-  // mirrors the serial engines' cycle body on the shard's local link ranges.
-  const auto phase_a = [&](u64 k) {
-    Shard& sh = shards[k];
-    const u64 row0 = k * block;
-    sh.wrapped.clear();
-    for (int s = n - 1; s >= 0; --s) {
-      const u64 stage_base = static_cast<u64>(s) * block * 2;
-      sh.arena.for_each_occupied(stage_base, stage_base + block * 2, [&](u64 link) {
-        const u64 row = row0 + ((link - stage_base) >> 1);
-        const bool cross = (link & 1) != 0;
-        const u64 next_row = cross ? (row ^ pow2(s)) : row;
-        if (cross && s >= log2block) {
-          // The far end is another shard's row: hand the packet off.  The
-          // receiving shard makes the arrival decision at the cycle barrier.
-          const PacketArena::Packet pkt = sh.arena.pop(link);
-          --sh.in_flight;
-          const bool pushed =
-              ring_of(k, s).try_push({next_row, pkt.dst, pkt.injected_at,
-                                      pkt.misroutes, pkt.wraps});
-          BFLY_CHECK(pushed, "sharded hand-off ring overflow");
-          return;
-        }
-        if (!faulty) {
-          if (s + 1 == n) {
-            const PacketArena::Packet pkt = sh.arena.pop(link);
-            --sh.in_flight;
-            ++sh.delivered_all;
-            if (measured) {
-              ++sh.delivered;
-              sh.latency_sum += static_cast<double>(cycle + 1 - pkt.injected_at);
-            }
-            return;
-          }
-          const u64 dst = sh.arena.front_dst(link);
-          const bool next_cross = ((next_row ^ dst) >> (s + 1)) & 1;
-          const u64 next_link = local_link(s + 1, next_row - row0, next_cross);
-          if (queue_capacity > 0 && sh.arena.size(next_link) >= queue_capacity) {
-            sh.arena.pop(link);
-            --sh.in_flight;
-            count_drop(sh, DropReason::kQueueFull);
-          } else {
-            sh.arena.move_front(link, next_link);
-          }
-          return;
-        }
-        // Faulty path — same structure as run_saturation_faulty: a
-        // payload-invariant fast path when the wanted link at the next node
-        // is alive, the full deflection enqueue otherwise.
-        if (s + 1 < n) {
-          const u64 dst = sh.arena.front_dst(link);
-          const bool want = ((next_row ^ dst) >> (s + 1)) & 1;
-          if (faults->link_alive(next_row, s + 1, want)) {
-            const u64 next_link = local_link(s + 1, next_row - row0, want);
-            if (queue_capacity > 0 && sh.arena.size(next_link) >= queue_capacity) {
-              sh.arena.pop(link);
-              --sh.in_flight;
-              count_drop(sh, DropReason::kQueueFull);
-            } else {
-              sh.arena.move_front(link, next_link);
-            }
-            return;
-          }
-        }
-        const PacketArena::Packet pkt = sh.arena.pop(link);
-        if (s + 1 == n) {
-          if (next_row == pkt.dst) {
-            --sh.in_flight;
-            ++sh.delivered_all;
-            if (measured) {
-              ++sh.delivered;
-              ++sh.tally.delivered;
-              sh.latency_sum += static_cast<double>(cycle + 1 - pkt.injected_at);
-            }
-          } else if (pkt.wraps < wrap_budget && faults->node_alive(next_row, 0)) {
-            PacketArena::Packet w = pkt;
-            ++w.wraps;
-            if (measured) ++sh.tally.wraps;
-            sh.wrapped.emplace_back(next_row, w);
-          } else {
-            --sh.in_flight;
-            count_drop(sh, pkt.wraps < wrap_budget ? DropReason::kNoAliveLink
-                                                   : DropReason::kBudgetExhausted);
-          }
-        } else if (!enqueue_faulty(sh, row0, next_row, s + 1, pkt)) {
-          --sh.in_flight;
-        }
-      });
-    }
-    // Shard-local wraps re-enter at stage 0 after the sweep, before
-    // injection — the serial ordering.  (A wrap decided at a hand-off
-    // arrival re-enters during the drain phase instead; both orders are
-    // fixed, so determinism is unaffected.)
-    for (const auto& [row, pkt] : sh.wrapped) {
-      if (!enqueue_faulty(sh, row0, row, 0, pkt)) --sh.in_flight;
-    }
-    // Inject from this shard's private stream — the census's fixed-chunk
-    // seeding with the shard index as the chunk, which is what makes the run
-    // a pure function of (n, load, cycles, seed, shard_count).
-    u64 cycle_injections = 0;
-    for (u64 local_row = 0; local_row < block; ++local_row) {
-      if (sh.rng.uniform() < offered_load) {
-        ++sh.offered;
-        const u64 row = row0 + local_row;
-        PacketArena::Packet pkt{sh.rng.below(rows), cycle, 0, 0, 0};
-        if (faulty) {
-          if (!faults->node_alive(row, 0) || !faults->node_alive(pkt.dst, n)) {
-            count_drop(sh, DropReason::kEndpointDead);
-            continue;
-          }
-          if (enqueue_faulty(sh, row0, row, 0, pkt)) {
-            ++cycle_injections;
-            ++sh.injected;
-            if (measured) ++sh.measured_injections;
-          }
-        } else {
-          const bool cross0 = ((row ^ pkt.dst) & 1) != 0;
-          const u64 link = local_link(0, local_row, cross0);
-          if (queue_capacity > 0 && sh.arena.size(link) >= queue_capacity) {
-            count_drop(sh, DropReason::kQueueFull);
-          } else {
-            sh.arena.push(link, pkt);
-            ++cycle_injections;
-            ++sh.injected;
-            if (measured) ++sh.measured_injections;
-          }
-        }
-      }
-    }
-    sh.in_flight += cycle_injections;
-  };
-
-  // Phase B: drain this shard's inbound rings in fixed (stage ascending,
-  // FIFO) order — every producer finished in phase A, so the drain sees the
-  // complete cycle's hand-offs deterministically.  The receiving shard makes
-  // the arrival decision: the stage-(s+1) output-link choice (with
-  // deflection under faults) or the terminal deliver/wrap/drop.
-  const auto phase_b = [&](u64 k) {
-    Shard& sh = shards[k];
-    const u64 row0 = k * block;
-    for (int s = log2block; s < n; ++s) {
-      const u64 src = k ^ (u64{1} << (s - log2block));
-      util::SpscRing<Hop>& ring = ring_of(src, s);
-      Hop hop;
-      while (ring.try_pop(&hop)) {
-        PacketArena::Packet pkt{hop.dst, hop.injected_at, hop.misroutes, hop.wraps, 0};
-        if (s + 1 == n) {
-          if (!faulty || hop.row == pkt.dst) {
-            ++sh.delivered_all;
-            if (measured) {
-              ++sh.delivered;
-              if (faulty) ++sh.tally.delivered;
-              sh.latency_sum += static_cast<double>(cycle + 1 - pkt.injected_at);
-            }
-          } else if (pkt.wraps < wrap_budget && faults->node_alive(hop.row, 0)) {
-            ++pkt.wraps;
-            if (measured) ++sh.tally.wraps;
-            if (enqueue_faulty(sh, row0, hop.row, 0, pkt)) ++sh.in_flight;
-          } else {
-            count_drop(sh, pkt.wraps < wrap_budget ? DropReason::kNoAliveLink
-                                                   : DropReason::kBudgetExhausted);
-          }
-          continue;
-        }
-        if (faulty) {
-          if (enqueue_faulty(sh, row0, hop.row, s + 1, pkt)) ++sh.in_flight;
-          continue;
-        }
-        const bool next_cross = ((hop.row ^ pkt.dst) >> (s + 1)) & 1;
-        const u64 link = local_link(s + 1, hop.row - row0, next_cross);
-        if (queue_capacity > 0 && sh.arena.size(link) >= queue_capacity) {
-          count_drop(sh, DropReason::kQueueFull);
-        } else {
-          sh.arena.push(link, pkt);
-          ++sh.in_flight;
-        }
-      }
-    }
-  };
-
-  // The cycle loop: two fork-join phases per cycle (advance || barrier ||
-  // drain), shards claimed in contiguous ranges so every thread count walks
-  // the same per-shard work.  Cancellation is polled only at the cycle
-  // boundary — mid-cycle phases always run over all shards, so a cancelled
-  // run stops with every shard at the same cycle (and the ledger exact).
-  u64 simulated = cycles;
-  for (cycle = 0; cycle < cycles; ++cycle) {
-    if (cycle % kCancelPollCycles == 0 && CancelToken::cancelled(cancel)) {
-      simulated = cycle;
-      break;
-    }
-    measured = cycle >= options.warmup_cycles;
-    if (threads <= 1) {
-      for (u64 k = 0; k < num_shards; ++k) phase_a(k);
-      for (u64 k = 0; k < num_shards; ++k) phase_b(k);
-    } else {
-      parallel_for_chunked(0, static_cast<std::size_t>(num_shards), threads,
-                           [&](std::size_t lo, std::size_t hi, std::size_t /*tid*/) {
-                             for (std::size_t k = lo; k < hi; ++k) phase_a(k);
-                           });
-      parallel_for_chunked(0, static_cast<std::size_t>(num_shards), threads,
-                           [&](std::size_t lo, std::size_t hi, std::size_t /*tid*/) {
-                             for (std::size_t k = lo; k < hi; ++k) phase_b(k);
-                           });
-    }
-  }
-
-  // Merge in shard order (the double sums too), so the result is independent
-  // of which thread ran which shard.
-  u64 measured_injections = 0;
-  double total_latency = 0.0;
-  for (const Shard& sh : shards) {
-    result.delivered += sh.delivered;
-    total_latency += sh.latency_sum;
-    measured_injections += sh.measured_injections;
-    result.max_queue = std::max(result.max_queue, sh.arena.max_size());
-    out.offered_total += sh.offered;
-    out.injected_total += sh.injected;
-    out.delivered_total += sh.delivered_all;
-    out.dropped_total += sh.dropped_all;
-    out.in_flight_end += sh.in_flight;
-    if (faulty) {
-      out.tally.delivered += sh.tally.delivered;
-      for (std::size_t r = 0; r < kNumDropReasons; ++r) {
-        out.tally.dropped[r] += sh.tally.dropped[r];
-      }
-      out.tally.misroutes += sh.tally.misroutes;
-      out.tally.wraps += sh.tally.wraps;
-    } else {
-      result.dropped_queue_full += sh.dropped_queue_full;
-    }
-  }
-  if (faulty) result.dropped_queue_full = out.tally.dropped[drop_index(DropReason::kQueueFull)];
-  BFLY_CHECK(out.conserved(), "sharded engine conservation violation");
-
-  const double measured_cycles =
-      simulated > options.warmup_cycles
-          ? static_cast<double>(simulated - options.warmup_cycles)
-          : 0.0;
-  result.throughput =
-      measured_cycles > 0.0
-          ? static_cast<double>(result.delivered) / (measured_cycles * static_cast<double>(rows))
-          : 0.0;
-  result.per_node_injection = result.throughput / static_cast<double>(n + 1);
-  result.avg_latency =
-      result.delivered > 0 ? total_latency / static_cast<double>(result.delivered) : 0.0;
+  detail::KernelResult r = faults != nullptr ? detail::run_cycle_kernel(spec, *faults)
+                                             : detail::run_cycle_kernel(spec, detail::kNoFaults);
+  if (faults == nullptr) r.tally = {};  // the documented all-zero pristine tally
 
   // Commutative counter merges only — no gauges, so concurrent sharded
   // points in one sweep leave the registry deterministic without the
   // reset-after dance the serial engines need.
-  obs::add(obs::get_counter("sharded.offered"), out.offered_total);
-  obs::add(obs::get_counter("sharded.injected"), measured_injections);
-  obs::add(obs::get_counter("sharded.delivered"), result.delivered);
-  obs::add(obs::get_counter("sharded.dropped"), out.dropped_total);
-  return out;
+  obs::add(obs::get_counter("sharded.offered"), r.offered_total);
+  obs::add(obs::get_counter("sharded.injected"), r.measured_injections);
+  obs::add(obs::get_counter("sharded.delivered"), r.point.delivered);
+  obs::add(obs::get_counter("sharded.dropped"), r.dropped_total);
+  return r;
 }
 
 }  // namespace bfly

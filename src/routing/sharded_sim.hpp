@@ -1,45 +1,43 @@
 // Cycle-parallel sharded saturation engine: one large butterfly on all cores.
 //
-// simulate_saturation / simulate_saturation_faulty advance a single B_n on a
-// single thread; sweep-level parallelism (sim/sweep.hpp) only helps when a
-// *grid* of simulations is wanted.  This engine parallelizes one simulation:
-// the 2^n rows are partitioned into `shard_count` power-of-two blocks, each
-// shard owning the contiguous per-stage link ranges of its rows in a private
-// PacketArena, and all shards advance concurrently on the persistent
-// ThreadPool within each cycle.
+// There is one packet engine, the cycle kernel of routing/cycle_kernel.hpp,
+// with three entry points: simulate_saturation and
+// simulate_saturation_faulty run it with one shard on the calling thread;
+// simulate_saturation_sharded runs it with `shard_count` shards, which
+// advance concurrently on the persistent ThreadPool within each cycle.
 //
 // Sharding geometry.  With block = 2^n / shard_count, shard k owns rows
-// [k*block, (k+1)*block).  The stage-s cross link flips row bit s, so a
-// packet leaves its shard only when 2^s >= block — the low log2(block)
+// [k*block, (k+1)*block) and the contiguous per-stage link ranges of those
+// rows in a private PacketArena.  The stage-s cross link flips row bit s, so
+// a packet leaves its shard only when 2^s >= block — the low log2(block)
 // stages are entirely shard-local, and exactly log2(shard_count) stages
 // cross.  Cross hops travel through preallocated SPSC hand-off rings
 // (util/spsc_ring.hpp), one per (source shard, crossing stage), drained at a
 // deterministic barrier in fixed (stage, source) order by the receiving
-// shard — which also makes the arrival's routing decision (next output link,
-// or the terminal deliver/wrap/drop call), since that decision needs the
-// destination row's queue and liveness state.
+// shard, which also makes the arrival's routing decision (it needs the
+// destination row's queue and liveness state).
 //
-// Determinism contract.  Injection uses the repo's fixed-chunk seeding
-// pattern: shard k draws from its own Xoshiro256 stream seeded by
-// (seed, shard index) exactly like the census's per-chunk streams, per-shard
-// statistics merge in shard order, and the two intra-cycle phases are
-// fork-join barriers with a fixed drain order — so the result is a pure
-// function of (n, offered_load, cycles, seed, shard_count), bitwise
-// invariant across thread counts (tests/test_sharded_sim.cpp proves
-// threads in {1, 2, 4, hardware} identical; the serial threads=1 run of
-// *this* engine is the reference).  The sharded result is deliberately NOT
-// bitwise equal to the serial engines — the injection RNG decomposes
-// differently — but exact conservation (every offered packet is delivered,
-// dropped, or still in flight at the end) and close statistical agreement
-// are asserted against them.
+// Determinism contract.  Shard k draws injections from its own Xoshiro256
+// stream seeded by seed ^ golden * (k + 1), like the census's per-chunk
+// streams; per-shard statistics merge in shard order and the two intra-cycle
+// phases are fork-join barriers with a fixed drain order, so the result is a
+// pure function of (n, offered_load, cycles, seed, shard_count), bitwise
+// invariant across thread counts (tests/test_sharded_sim.cpp).  The serial
+// entry points draw from the `seed` stream itself, so a sharded result is
+// deliberately NOT bitwise equal to theirs, even at shard_count == 1; exact
+// conservation (checked by the kernel on every run) and close statistical
+// agreement are asserted against them instead.
 //
-// Scope.  Pristine and static-FaultSet runs (budgeted deflection routing
-// with the same policy as fault/fault_routing.hpp).  Telemetry / flight
-// probes and live FaultSchedules are not wired in: sweep points that request
-// them fall back to the serial engines (docs/performance.md, "Sharded
-// engine").  The registry sees only commutative counter merges
-// (sharded.offered / injected / delivered / dropped), never gauges, so
-// concurrent sharded points in one sweep stay report-deterministic.
+// Scope.  Pristine and static-FaultSet runs, no observers and no live
+// FaultSchedule.  The telemetry, occupancy and flight sinks are single-writer
+// sinks keyed by global link id and global packet-creation order, while
+// shards run concurrently, index shard-local link ranges and create packets
+// in per-shard streams — attaching them needs per-shard sinks and an ordered
+// merge that do not exist yet.  Sweep points that request observers or a
+// schedule fall back to the serial engines (docs/performance.md).  The
+// registry sees only commutative counter merges (sharded.offered / injected
+// / delivered / dropped), never gauges, so concurrent sharded points in one
+// sweep stay report-deterministic.
 #pragma once
 
 #include <cstddef>

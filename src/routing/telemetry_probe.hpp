@@ -1,4 +1,4 @@
-// Shared cycle-loop instrumentation for the two saturation engines.
+// Cycle-loop instrumentation for the packet engine (routing/cycle_kernel.hpp).
 //
 // SaturationProbe is the thin adapter between an engine's cycle loop and an
 // obs::TimeSeries / obs::OccupancyFrames pair.  The cost contract it exists
@@ -58,16 +58,6 @@ class SaturationProbe {
 #endif
   }
 
-  /// True when any sink is attached (engines may use this to skip work that
-  /// only feeds the probe).
-  bool enabled() const {
-#if BFLY_OBS_ENABLED
-    return series_ != nullptr || frames_ != nullptr;
-#else
-    return false;
-#endif
-  }
-
   void on_injected([[maybe_unused]] u64 count) {
 #if BFLY_OBS_ENABLED
     if (active_) injected_ += count;
@@ -90,7 +80,7 @@ class SaturationProbe {
   }
 
   /// End-of-cycle sampling hook.  `in_flight` must equal the number of
-  /// packets resident in the arena (both engines maintain exactly that
+  /// packets resident in the arena (the cycle kernel maintains exactly that
   /// invariant at end of cycle).  `dead_links` is the fabric's current dead
   /// link count — constant for static fault sets, time-varying under a live
   /// fault schedule (the sampled series makes the fault epoch visible), and

@@ -363,6 +363,53 @@ TEST(FaultSaturation, ArenaMatchesReferenceBitwise) {
   }
 }
 
+TEST(FaultSaturation, LedgerHoldsUnderHeavyDropsOnEverySerialInstantiation) {
+  // Saturating load into capacity-1 queues with zero budgets sends packets
+  // down every drop path.  The serial engines share the cycle kernel's exact
+  // offered == delivered + dropped + in_flight check, which throws on any
+  // imbalance; each liveness instantiation (pristine, static FaultSet, live
+  // schedule under both link-death policies) must come back cleanly.
+  const int n = 6;
+  const u64 cycles = 500;
+  const u64 warmup = 50;
+  const u64 capacity = 1;
+  const FaultRoutingOptions no_budget{0, 0};
+  const FaultSet none(n);
+  const FaultSet statics = FaultSet::random_links(n, 0.05, 41);
+  FaultSchedule kill = FaultSchedule::random_links(n, 60, 15, cycles, 43);
+  kill.set_link_death_policy(LinkDeathPolicy::kKillInFlight);
+  FaultSchedule deflect = kill;
+  deflect.set_link_death_policy(LinkDeathPolicy::kDeflect);
+
+  SaturationPoint pristine;
+  EXPECT_NO_THROW(pristine = simulate_saturation(n, 1.0, cycles, 7, warmup, capacity));
+  EXPECT_GT(pristine.dropped_queue_full, 0u);
+
+  FaultSaturationPoint fixed;
+  EXPECT_NO_THROW(fixed = simulate_saturation_faulty(n, 1.0, cycles, 7, statics, no_budget,
+                                                     warmup, capacity));
+  EXPECT_GT(fixed.tally.dropped[drop_index(DropReason::kQueueFull)], 0u);
+  EXPECT_GT(fixed.tally.dropped[drop_index(DropReason::kBudgetExhausted)], 0u);
+
+  FaultSaturationPoint killed;
+  EXPECT_NO_THROW(killed = simulate_saturation_faulty(n, 1.0, cycles, 7, none, no_budget,
+                                                      warmup, capacity, nullptr, nullptr,
+                                                      nullptr, nullptr, &kill));
+  EXPECT_GT(killed.tally.dropped[drop_index(DropReason::kKilledByFault)], 0u);
+  EXPECT_GT(killed.tally.dropped[drop_index(DropReason::kQueueFull)], 0u);
+
+  FaultSaturationPoint deflected;
+  EXPECT_NO_THROW(deflected = simulate_saturation_faulty(n, 1.0, cycles, 7, none, no_budget,
+                                                         warmup, capacity, nullptr, nullptr,
+                                                         nullptr, nullptr, &deflect));
+  EXPECT_EQ(deflected.tally.dropped[drop_index(DropReason::kKilledByFault)], 0u);
+  EXPECT_GT(deflected.tally.dropped[drop_index(DropReason::kQueueFull)], 0u);
+  for (const FaultSaturationPoint* p : {&fixed, &killed, &deflected}) {
+    EXPECT_EQ(p->tally.misroutes, 0u);
+    EXPECT_EQ(p->tally.wraps, 0u);
+  }
+}
+
 // --- input validation -------------------------------------------------------
 
 TEST(FaultValidation, RejectsOutOfRangeDimension) {

@@ -271,6 +271,43 @@ TEST(ShardedSim, ShardCountOneAndMaxAreValidDegenerateGeometries) {
   expect_thread_invariant(4, 16, &faults, 4, 300);
 }
 
+TEST(ShardedSim, EmptyFaultSetMatchesPristineBitwise) {
+  // The faulty instantiation on a fault-free fabric must make exactly the
+  // pristine hops: every SaturationPoint field and the whole ledger agree.
+  // (The tally is left out: a faulty run fills it, a pristine run keeps it
+  // all-zero.)
+  const FaultSet none(6);
+  for (const u64 shard_count : {u64{1}, u64{8}}) {
+    for (const u64 capacity : {u64{0}, u64{2}}) {
+      SCOPED_TRACE(::testing::Message() << "S=" << shard_count << " capacity=" << capacity);
+      ShardedOptions opt;
+      opt.shard_count = shard_count;
+      opt.warmup_cycles = 100;
+      opt.queue_capacity = capacity;
+      opt.threads = 2;
+      const ShardedSaturationPoint pristine = simulate_saturation_sharded(6, 0.7, 600, 31, opt);
+      const ShardedSaturationPoint faulty =
+          simulate_saturation_sharded(6, 0.7, 600, 31, opt, &none);
+      EXPECT_EQ(faulty.point.offered_load, pristine.point.offered_load);
+      EXPECT_EQ(faulty.point.throughput, pristine.point.throughput);
+      EXPECT_EQ(faulty.point.avg_latency, pristine.point.avg_latency);
+      EXPECT_EQ(faulty.point.per_node_injection, pristine.point.per_node_injection);
+      EXPECT_EQ(faulty.point.delivered, pristine.point.delivered);
+      EXPECT_EQ(faulty.point.max_queue, pristine.point.max_queue);
+      EXPECT_EQ(faulty.point.dropped_queue_full, pristine.point.dropped_queue_full);
+      EXPECT_EQ(faulty.offered_total, pristine.offered_total);
+      EXPECT_EQ(faulty.injected_total, pristine.injected_total);
+      EXPECT_EQ(faulty.delivered_total, pristine.delivered_total);
+      EXPECT_EQ(faulty.dropped_total, pristine.dropped_total);
+      EXPECT_EQ(faulty.in_flight_end, pristine.in_flight_end);
+      EXPECT_GT(pristine.point.delivered, 0u);
+      if (capacity > 0) {
+        EXPECT_GT(pristine.dropped_total, 0u);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Conservation and statistical agreement with the serial engines
 
