@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -95,11 +96,19 @@ using RowPacket = std::pair<u64, PacketArena::Packet>;
 /// Per-shard state: a private arena over the shard's local link range, its
 /// own injection stream, and private statistics merged in shard order.
 struct KernelShard {
-  KernelShard(u64 local_links, bool with_budgets, bool with_flight, u64 seed)
-      : arena(local_links, with_budgets, with_flight), rng(seed) {}
+  /// Readies the shard for a run: the state of a freshly built shard, in
+  /// the memory of the last run's.
+  void reset(u64 local_links, bool with_budgets, bool with_flight, u64 seed) {
+    arena.reset(local_links, with_budgets, with_flight);
+    rng = Xoshiro256(seed);
+    wrapped.clear();
+    tally = {};
+    latency_sum = 0.0;
+    measured_injections = offered = injected = delivered_all = dropped_all = in_flight = 0;
+  }
 
-  PacketArena arena;
-  Xoshiro256 rng;
+  PacketArena arena{0, false, false, 0};
+  Xoshiro256 rng{0};
   std::vector<RowPacket> wrapped;
 
   // Post-warmup statistics (tally.delivered is the delivered count).
@@ -114,6 +123,25 @@ struct KernelShard {
   u64 dropped_all = 0;
   u64 in_flight = 0;  ///< packets currently queued in this shard's arena
 };
+
+/// A run's shards and hand-off rings.  A run borrows its thread's store (see
+/// t_idle_store) and gives it back when it returns normally, so the points
+/// of a curve or sweep reuse one set of arenas instead of building and
+/// paging in a fresh set per point.
+struct KernelStore {
+  std::deque<KernelShard> shards;
+  // A ring is empty between runs: every cycle's drain empties it, and a run
+  // stops (complete or cancelled) only at a cycle boundary.
+  std::deque<util::SpscRing<RowPacket>> rings;
+};
+
+/// The calling thread's idle store, or null when it has none.  A run takes
+/// the store out for its whole duration, so a second run started on the same
+/// thread meanwhile (the pool's help-while-wait can run another sweep point
+/// inside this run's parallel_for_chunked) finds none and builds its own.
+/// The first of them to finish leaves its store here and the other's is
+/// freed, so a thread keeps at most one idle store.
+inline thread_local std::unique_ptr<KernelStore> t_idle_store;
 
 /// One shard's share of one cycle.  The kernel builds one on the stack per
 /// (shard, phase), copying the run's constants in; advance() and drain() are
@@ -358,18 +386,23 @@ KernelResult run_cycle_kernel(const KernelSpec& spec, Liveness& faults) {
   obs::LocalHistogram latency_hist(spec.latency_hist);
   obs::LocalHistogram depth_hist(spec.depth_hist);
 
-  std::deque<KernelShard> shards;
+  std::unique_ptr<KernelStore> store = std::move(t_idle_store);
+  if (store == nullptr) store = std::make_unique<KernelStore>();
+  std::deque<KernelShard>& shards = store->shards;
+  shards.resize(num_shards);
   for (u64 k = 0; k < num_shards; ++k) {
-    shards.emplace_back(static_cast<u64>(spec.n) * block * 2, kFaulty, fprobe.enabled(),
-                        spec.mix_shard_seeds ? spec.seed ^ (0x9e3779b97f4a7c15ULL * (k + 1))
-                                             : spec.seed);
+    shards[k].reset(static_cast<u64>(spec.n) * block * 2, kFaulty, fprobe.enabled(),
+                    spec.mix_shard_seeds ? spec.seed ^ (0x9e3779b97f4a7c15ULL * (k + 1))
+                                         : spec.seed);
   }
   // A shard has `block` cross links per stage and each forwards at most its
   // front packet per cycle, so `block` slots never overflow — the drain
   // empties every ring before the next advance phase refills it.
-  std::deque<util::SpscRing<RowPacket>> rings;
-  for (u64 k = 0; k < num_shards * static_cast<u64>(spec.n - log2block); ++k) {
-    rings.emplace_back(static_cast<std::size_t>(block));
+  std::deque<util::SpscRing<RowPacket>>& rings = store->rings;
+  const u64 num_rings = num_shards * static_cast<u64>(spec.n - log2block);
+  if (rings.size() != num_rings || (num_rings > 0 && rings.front().capacity() != block)) {
+    rings.clear();
+    for (u64 r = 0; r < num_rings; ++r) rings.emplace_back(static_cast<std::size_t>(block));
   }
 
   u64 cycle = 0;
@@ -470,6 +503,7 @@ KernelResult run_cycle_kernel(const KernelSpec& spec, Liveness& faults) {
   result.per_node_injection = result.throughput / static_cast<double>(spec.n + 1);
   result.avg_latency =
       result.delivered > 0 ? total_latency / static_cast<double>(result.delivered) : 0.0;
+  if (t_idle_store == nullptr) t_idle_store = std::move(store);
   return out;
 }
 

@@ -8,14 +8,19 @@
 //
 // Sharding geometry.  With block = 2^n / shard_count, shard k owns rows
 // [k*block, (k+1)*block) and the contiguous per-stage link ranges of those
-// rows in a private PacketArena.  The stage-s cross link flips row bit s, so
-// a packet leaves its shard only when 2^s >= block — the low log2(block)
-// stages are entirely shard-local, and exactly log2(shard_count) stages
-// cross.  Cross hops travel through preallocated SPSC hand-off rings
-// (util/spsc_ring.hpp), one per (source shard, crossing stage), drained at a
-// deterministic barrier in fixed (stage, source) order by the receiving
-// shard, which also makes the arrival's routing decision (it needs the
-// destination row's queue and liveness state).
+// rows in a private PacketArena.  The arena keeps 4 bytes per link (the
+// front slot; packet_arena.hpp gives the cache-footprint argument), so
+// B_16's link state is 8 MiB in all, 1 MiB per shard at the default eight
+// shards.  The stage-s cross link flips row bit s, so a packet leaves its
+// shard only when 2^s >= block — the low log2(block) stages are entirely
+// shard-local, and exactly log2(shard_count) stages cross.  Cross hops
+// travel through preallocated SPSC hand-off rings (util/spsc_ring.hpp), one
+// per (source shard, crossing stage), drained at a deterministic barrier in
+// fixed (stage, source) order by the receiving shard, which also makes the
+// arrival's routing decision (it needs the destination row's queue and
+// liveness state).  A run's arenas and rings are reused by the next run on
+// the same thread (KernelStore in cycle_kernel.hpp), so the points of a
+// curve do not page them in again.
 //
 // Determinism contract.  Shard k draws injections from its own Xoshiro256
 // stream seeded by seed ^ golden * (k + 1), like the census's per-chunk

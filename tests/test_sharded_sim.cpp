@@ -11,9 +11,12 @@
 // bit-identity of a checkpointed sharded grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "sim/sweep.hpp"
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
+#include "util/prng.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace bfly {
@@ -143,6 +147,193 @@ TEST(PacketArena, RejectsInitialSlotsBeyondIndexWidth) {
   EXPECT_THROW(PacketArena(4, false, false, static_cast<std::size_t>(PacketArena::kNil)),
                InvalidArgument);
   EXPECT_NO_THROW(PacketArena(4, false, false, 16));
+}
+
+TEST(PacketArena, RejectsDestinationsBeyond32Bits) {
+  // Slots store dst as a u32 (a row of B_n, n <= 30).
+  PacketArena arena(4);
+  EXPECT_THROW(arena.push(0, {u64{1} << 32, 0, 0, 0, 0}), InternalError);
+  EXPECT_EQ(arena.size(0), 0u);
+  arena.push(0, {~u32{0}, 0, 0, 0, 0});
+  EXPECT_EQ(arena.front_dst(0), u64{~u32{0}});
+}
+
+// ---------------------------------------------------------------------------
+// PacketArena against a model with one std::deque per link
+
+// The arena's capacity rule: max(initial, 64) slots up front, then the slot
+// count doubles (by at least 64) whenever a push finds every slot in use.
+struct ArenaModel {
+  std::vector<std::deque<PacketArena::Packet>> q;
+  u64 live = 0;
+  u64 capacity = 0;
+
+  ArenaModel(u64 links, u64 initial_slots)
+      : q(links), capacity(std::max<u64>(initial_slots, 64)) {}
+
+  void push(u64 link, const PacketArena::Packet& p) {
+    if (live == capacity) capacity += std::max<u64>(capacity, 64);
+    ++live;
+    q[link].push_back(p);
+  }
+  PacketArena::Packet pop(u64 link) {
+    const PacketArena::Packet p = q[link].front();
+    q[link].pop_front();
+    --live;
+    return p;
+  }
+  u64 max_size() const {
+    u64 m = 0;
+    for (const auto& d : q) m = std::max<u64>(m, d.size());
+    return m;
+  }
+};
+
+void expect_same_packet(const PacketArena::Packet& got, const PacketArena::Packet& want,
+                        bool with_budgets, bool with_flight) {
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.injected_at, want.injected_at);
+  // Lanes the arena was built without read back as 0.
+  EXPECT_EQ(got.misroutes, with_budgets ? want.misroutes : 0u);
+  EXPECT_EQ(got.wraps, with_budgets ? want.wraps : 0u);
+  EXPECT_EQ(got.flight, with_flight ? want.flight : 0u);
+}
+
+void expect_arena_matches(const PacketArena& arena, const ArenaModel& model,
+                          bool with_flight) {
+  ASSERT_EQ(arena.num_links(), model.q.size());
+  EXPECT_EQ(arena.capacity(), model.capacity);
+  EXPECT_EQ(arena.max_size(), model.max_size());
+  std::vector<u64> occupied;
+  arena.for_each_occupied(0, arena.num_links(), [&](u64 link) { occupied.push_back(link); });
+  std::vector<u64> want_occupied;
+  for (u64 link = 0; link < model.q.size(); ++link) {
+    SCOPED_TRACE(::testing::Message() << "link " << link);
+    ASSERT_EQ(arena.size(link), model.q[link].size());
+    if (model.q[link].empty()) continue;
+    want_occupied.push_back(link);
+    EXPECT_EQ(arena.front_dst(link), model.q[link].front().dst);
+    EXPECT_EQ(arena.front_flight(link), with_flight ? model.q[link].front().flight : 0u);
+  }
+  EXPECT_EQ(occupied, want_occupied);
+}
+
+// Random push / pop / move_front traffic over a few links, checked against
+// the model after every operation.
+void run_arena_model(bool with_budgets, bool with_flight, u64 seed) {
+  SCOPED_TRACE(::testing::Message() << "budgets=" << with_budgets << " flight=" << with_flight);
+  constexpr u64 kLinks = 130;  // spans three occupancy words
+  PacketArena arena(kLinks, with_budgets, with_flight, 16);
+  ArenaModel model(kLinks, 16);
+  Xoshiro256 rng(seed);
+  u64 serial = 0;
+  for (int op = 0; op < 20'000; ++op) {
+    // Pushes outweigh pops early on, so queues grow deep enough to force
+    // several capacity doublings before the mix turns pop-heavy.
+    const double push_bias = op < 8'000 ? 0.6 : 0.4;
+    const u64 link = rng.below(kLinks);
+    const double roll = rng.uniform();
+    if (roll < push_bias || model.q[link].empty()) {
+      ++serial;
+      const PacketArena::Packet p{rng.below(u64{1} << 32), serial,
+                                  static_cast<u32>(rng.below(7)), static_cast<u32>(rng.below(3)),
+                                  serial * 3 + 1};
+      arena.push(link, p);
+      model.push(link, p);
+    } else if (roll < push_bias + (1.0 - push_bias) / 2) {
+      expect_same_packet(arena.pop(link), model.pop(link), with_budgets, with_flight);
+    } else {
+      const u64 to = rng.below(kLinks);
+      arena.move_front(link, to);
+      const PacketArena::Packet p = model.q[link].front();
+      model.q[link].pop_front();
+      model.q[to].push_back(p);
+    }
+    if (op % 97 == 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_arena_matches(arena, model, with_flight));
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_arena_matches(arena, model, with_flight));
+  // Drain everything in FIFO order.
+  for (u64 link = 0; link < kLinks; ++link) {
+    while (!model.q[link].empty()) {
+      expect_same_packet(arena.pop(link), model.pop(link), with_budgets, with_flight);
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_arena_matches(arena, model, with_flight));
+  EXPECT_EQ(arena.max_size(), 0u);
+}
+
+TEST(PacketArena, MatchesADequePerLinkModel) {
+  run_arena_model(false, false, 1);
+  run_arena_model(true, false, 2);
+  run_arena_model(false, true, 3);
+  run_arena_model(true, true, 4);
+}
+
+TEST(PacketArena, DeepQueueOperationsStayConstantTime) {
+  // Two queues held 2^17 deep while 2^20 push/pop/move_front rounds run at
+  // that depth.  An arena whose push walked the FIFO chain to find the tail
+  // would take ~10^11 steps here — hours, far past this test's bound and
+  // its ctest timeout — while constant-time operations take well under a
+  // second even under the sanitizers.
+  constexpr u64 kDepth = u64{1} << 17;
+  constexpr u64 kRounds = u64{1} << 20;
+  PacketArena arena(4, true, true);
+  ArenaModel model(4, PacketArena::kDefaultSlots);
+  const auto packet = [](u64 i) { return PacketArena::Packet{i * 7, i, 1, 0, i + 1}; };
+  const auto start = std::chrono::steady_clock::now();
+  for (u64 i = 0; i < kDepth; ++i) {
+    arena.push(0, packet(i));
+    model.push(0, packet(i));
+    arena.push(1, packet(kDepth + i));
+    model.push(1, packet(kDepth + i));
+  }
+  u64 next = 2 * kDepth;
+  for (u64 r = 0; r < kRounds; ++r) {
+    // Link 0 -> link 1 by relinking, link 1 -> free list by popping, and a
+    // fresh packet onto link 0: both depths stay fixed.
+    arena.move_front(0, 1);
+    model.q[1].push_back(model.q[0].front());
+    model.q[0].pop_front();
+    expect_same_packet(arena.pop(1), model.pop(1), true, true);
+    arena.push(0, packet(next));
+    model.push(0, packet(next));
+    ++next;
+    if (r % 65'536 == 0) {
+      ASSERT_EQ(arena.size(0), kDepth);
+      ASSERT_EQ(arena.front_dst(1), model.q[1].front().dst);
+    }
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_NO_FATAL_FAILURE(expect_arena_matches(arena, model, true));
+  EXPECT_EQ(arena.max_size(), kDepth);
+  EXPECT_LT(seconds, 60.0) << "deep-queue operations are not constant-time";
+}
+
+TEST(PacketArena, ResetBehavesLikeAFreshArena) {
+  // reset() keeps the memory but must leave no trace of the previous run:
+  // same queues, same capacity sequence, whatever the old shape and lanes.
+  PacketArena used(300, true, true, 16);
+  for (u64 i = 0; i < 5'000; ++i) used.push(i % 300, {i, i, 1, 1, i});
+  for (u64 i = 0; i < 1'000; ++i) used.move_front(i % 300, (i * 7) % 300);
+  used.reset(40, false, false, 16);
+  PacketArena fresh(40, false, false, 16);
+  ArenaModel model(40, 16);
+  ASSERT_NO_FATAL_FAILURE(expect_arena_matches(used, model, false));
+  for (u64 i = 0; i < 3'000; ++i) {
+    const PacketArena::Packet p{i * 3, i, 0, 0, 0};
+    used.push((i * 13) % 40, p);
+    fresh.push((i * 13) % 40, p);
+    model.push((i * 13) % 40, p);
+    EXPECT_EQ(used.capacity(), fresh.capacity());
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_arena_matches(used, model, false));
+  ASSERT_NO_FATAL_FAILURE(expect_arena_matches(fresh, model, false));
+  // Growing the link count again exposes only empty links.
+  used.reset(500, true, false, 16);
+  ASSERT_NO_FATAL_FAILURE(expect_arena_matches(used, ArenaModel(500, 16), false));
 }
 
 // ---------------------------------------------------------------------------
@@ -369,6 +560,80 @@ TEST(ShardedSim, CancelStopsAtACycleBoundaryWithAnExactLedger) {
   EXPECT_EQ(r.offered_total, 0u);
   EXPECT_EQ(r.point.throughput, 0.0);
   EXPECT_TRUE(r.conserved());
+}
+
+TEST(ShardedSim, ReusedArenasGiveBitIdenticalResults) {
+  // The kernel keeps a thread's last arenas and rings for its next run.  A
+  // reused set must give the same bits as a fresh one, whatever the previous
+  // run left behind: a different shape and lanes, packets still queued by a
+  // cancelled run, or another run nested on the same thread by the pool's
+  // help-while-wait.
+  ShardedOptions opt;
+  opt.shard_count = 4;
+  opt.warmup_cycles = 40;
+  opt.queue_capacity = 3;
+  opt.threads = 1;
+  const auto point = [&] { return simulate_saturation_sharded(7, 0.7, 300, 99, opt); };
+
+  ShardedSaturationPoint fresh, after_larger, after_cancel;
+  // A new thread has no idle store, so its first run builds a fresh one.
+  std::thread([&] {
+    fresh = point();
+    ShardedOptions big;
+    big.shard_count = 8;
+    big.threads = 1;
+    big.routing.misroute_budget = 2;
+    const FaultSet faults = FaultSet::random_links(9, 0.01, 5);
+    EXPECT_TRUE(simulate_saturation_sharded(9, 0.9, 200, 7, big, &faults).conserved());
+    after_larger = point();
+    // Cancelled mid-run: the canceller trips the token while the (very long)
+    // run is going, which then stops at its next poll with packets queued.
+    CancelToken token;
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      token.request_cancel();
+    });
+    const ShardedSaturationPoint cancelled =
+        simulate_saturation_sharded(8, 0.9, u64{1} << 40, 3, big, nullptr, &token);
+    canceller.join();
+    EXPECT_TRUE(cancelled.conserved());
+    EXPECT_GT(cancelled.in_flight_end, 0u);
+    after_cancel = point();
+  }).join();
+  expect_sharded_eq(after_larger, fresh);
+  expect_sharded_eq(after_cancel, fresh);
+
+  // Nested: one pool range per sweep point, so most points sit queued while
+  // the first ones run; each running point forks its cycle phases through
+  // parallel_for_chunked, and a thread waiting on them helps by running a
+  // queued point's whole kernel inside its own run.
+  SweepPoint p;
+  p.n = 7;
+  p.offered_load = 0.7;
+  p.cycles = 300;
+  p.seed = 99;
+  p.warmup_cycles = 40;
+  p.queue_capacity = 3;
+  p.shard_count = 4;
+  std::vector<SweepPoint> grid;
+  for (int i = 0; i < 12; ++i) {
+    // Every third point is the reference; other shapes run in between.
+    SweepPoint q = p;
+    if (i % 3 != 0) {
+      q.n = i % 3 == 1 ? 6 : 8;
+      q.seed = 100 + static_cast<u64>(i);
+    }
+    grid.push_back(q);
+  }
+  const std::vector<SweepOutcome> outcomes = saturation_sweep(grid, grid.size());
+  for (std::size_t i = 0; i < grid.size(); i += 3) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(outcomes[i].point.throughput, fresh.point.throughput);
+    EXPECT_EQ(outcomes[i].point.avg_latency, fresh.point.avg_latency);
+    EXPECT_EQ(outcomes[i].point.delivered, fresh.point.delivered);
+    EXPECT_EQ(outcomes[i].point.max_queue, fresh.point.max_queue);
+    EXPECT_EQ(outcomes[i].point.dropped_queue_full, fresh.point.dropped_queue_full);
+  }
 }
 
 // ---------------------------------------------------------------------------
